@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.faults import FaultTarget, FaultType
+from repro.core.faults import FaultTarget, FaultType, fault_label
 from repro.core.metrics import SummaryRow, summarize
 from repro.core.results import CampaignResult
-from repro.core.tables import _fault_label
+from repro.core.tables import ResilienceRow, resilience_comparison
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def duration_fault_grid(campaign: CampaignResult) -> dict[tuple[str, float], flo
     durations = sorted({r.injection_duration_s for r in campaign.faulty})
     for target in FaultTarget:
         for fault_type in FaultType:
-            label = _fault_label(target, fault_type)
+            label = fault_label(target, fault_type)
             for duration in durations:
                 cell = [
                     r
@@ -68,7 +68,7 @@ def severity_ranking(campaign: CampaignResult) -> list[SummaryRow]:
     rows = []
     for target in FaultTarget:
         for fault_type in FaultType:
-            label = _fault_label(target, fault_type)
+            label = fault_label(target, fault_type)
             group = campaign.by_fault_label(label)
             if group:
                 rows.append(summarize(label, group))
@@ -213,7 +213,7 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
     # 8. IMU faults include total-loss rows (0% completion).
     def imu_rows() -> list[float]:
         return [
-            _completion(campaign, _fault_label(FaultTarget.IMU, ft)) for ft in FaultType
+            _completion(campaign, fault_label(FaultTarget.IMU, ft)) for ft in FaultType
         ]
 
     add(
@@ -240,58 +240,19 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
     return checks
 
 
-@dataclass(frozen=True)
-class RescuedFault:
-    """One fault group the redundant IMU bank demonstrably rescued."""
-
-    fault_label: str
-    baseline_completed_pct: float
-    mitigated_completed_pct: float
-    baseline_crashed_pct: float
-    mitigated_crashed_pct: float
-    switchovers: int
-
-
 def redundancy_rescues(
     baseline: CampaignResult, mitigated: CampaignResult
-) -> list[RescuedFault]:
-    """Fault labels where the IMU bank improved the completion share.
+) -> list[ResilienceRow]:
+    """Fault-label rows of :func:`resilience_comparison` whose completion rose.
 
-    Both campaigns must cover the same faulty cases (same missions,
-    durations, seeds, fault scope); only labels present in both are
-    compared. Sorted by completion gain, largest first.
+    Sorted by completion gain, largest first, then by label.
     """
-    rescued: list[RescuedFault] = []
-    labels = sorted(
-        {r.fault_label for r in baseline.faulty}
-        & {r.fault_label for r in mitigated.faulty}
-    )
-
-    def pct(group: list, pred: str) -> float:
-        return 100.0 * sum(1 for r in group if getattr(r, pred)) / len(group)
-
-    for label in labels:
-        base = baseline.by_fault_label(label)
-        mit = mitigated.by_fault_label(label)
-        base_done, mit_done = pct(base, "completed"), pct(mit, "completed")
-        if mit_done > base_done:
-            rescued.append(
-                RescuedFault(
-                    fault_label=label,
-                    baseline_completed_pct=base_done,
-                    mitigated_completed_pct=mit_done,
-                    baseline_crashed_pct=pct(base, "crashed"),
-                    mitigated_crashed_pct=pct(mit, "crashed"),
-                    switchovers=sum(r.imu_switchovers for r in mit),
-                )
-            )
-    rescued.sort(
-        key=lambda r: r.baseline_completed_pct - r.mitigated_completed_pct
-    )
-    return rescued
+    rows = resilience_comparison(baseline, mitigated)[1:]  # skip "All faults"
+    rescued = [r for r in rows if r.completed_delta_pct > 0.0]
+    return sorted(rescued, key=lambda r: (-r.completed_delta_pct, r.label))
 
 
-def render_rescues(rescues: list[RescuedFault]) -> str:
+def render_rescues(rescues: list[ResilienceRow]) -> str:
     """Human-readable report of what redundancy bought."""
     if not rescues:
         return (
@@ -301,7 +262,7 @@ def render_rescues(rescues: list[RescuedFault]) -> str:
     lines = [f"Redundancy rescues: {len(rescues)} fault group(s) improved"]
     for r in rescues:
         lines.append(
-            f"  {r.fault_label}: completion "
+            f"  {r.label}: completion "
             f"{r.baseline_completed_pct:.1f}% -> {r.mitigated_completed_pct:.1f}%, "
             f"crashes {r.baseline_crashed_pct:.1f}% -> {r.mitigated_crashed_pct:.1f}% "
             f"({r.switchovers} switchover(s))"

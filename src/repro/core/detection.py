@@ -3,10 +3,11 @@
 The paper's discussion stresses "the importance of quick detection and
 tolerance techniques" and observes that the failsafe takes a minimum of
 ~1900 ms after the failure condition appears (the redundant-sensor
-isolation stage). This module measures, per fault, the actual timeline:
+isolation stage). This module reads, per fault, the timeline of the run
+the campaign flies (:meth:`UavSystem.run`), so the two always agree:
 
 * ``detection_time_s`` — when failure detection first debounced
-  (isolation started);
+  (isolation started, the ``failsafe.isolating`` event);
 * ``failsafe_time_s`` — when the failsafe action engaged;
 * ``loss_time_s`` — when the vehicle crashed, if it beat the failsafe.
 
@@ -18,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.faults import FaultSpec
-from repro.flightstack.failsafe import FailsafeState
 from repro.missions.plan import MissionPlan
-from repro.system import SystemConfig, UavSystem
+from repro.system import MissionResult, SystemConfig, UavSystem
 
 
 @dataclass(frozen=True)
@@ -45,46 +45,33 @@ class DetectionRecord:
         """True when failure detection reacted to the fault at all."""
         return self.detection_latency_s is not None
 
+    @classmethod
+    def from_run(cls, result: MissionResult, start_time_s: float) -> "DetectionRecord":
+        """The timeline of a finished run, relative to ``start_time_s``."""
+
+        def latency(t: float | None) -> float | None:
+            return None if t is None else max(0.0, t - start_time_s)
+
+        return cls(
+            fault_label=result.fault_label,
+            outcome=result.outcome.value,
+            detection_latency_s=latency(result.detection_time_s),
+            failsafe_latency_s=latency(result.failsafe_time_s),
+            loss_latency_s=latency(result.crash_time_s),
+            trigger=result.detection_trigger,
+            isolation_outcome=result.isolation_outcome,
+            isolation_succeeded=result.isolation_succeeded,
+        )
+
 
 def measure_detection(
     plan: MissionPlan,
     fault: FaultSpec,
     config: SystemConfig | None = None,
 ) -> DetectionRecord:
-    """Run one faulty mission and extract its detection timeline."""
-    system = UavSystem(plan, config=config, fault=fault)
-    system.commander.arm_and_takeoff(system.physics.time_s)
-
-    detection_time: float | None = None
-    first_trigger: str = "none"
-    hard_cap = plan.estimated_duration_s() * 2.5 + 60.0
-    while not system.commander.terminal and system.physics.time_s < hard_cap:
-        system.step()
-        if (
-            detection_time is None
-            and system.failsafe.state != FailsafeState.NOMINAL
-        ):
-            detection_time = system.physics.time_s
-            first_trigger = system.failsafe.trigger.value
-
-    outcome = system.commander.outcome.value if system.commander.outcome else "running"
-    start = fault.start_time_s
-
-    def latency(t: float | None) -> float | None:
-        return None if t is None else max(0.0, t - start)
-
-    crash_time = (
-        system.crash_detector.report.time_s if system.crash_detector.report else None
-    )
-    return DetectionRecord(
-        fault_label=fault.label,
-        outcome=outcome,
-        detection_latency_s=latency(detection_time),
-        failsafe_latency_s=latency(system.failsafe.engaged_time_s),
-        loss_latency_s=latency(crash_time),
-        trigger=first_trigger,
-        isolation_outcome=system.failsafe.isolation_outcome.value,
-        isolation_succeeded=system.failsafe.isolation_succeeded,
+    """Fly one faulty mission and read its detection timeline."""
+    return DetectionRecord.from_run(
+        UavSystem(plan, config, fault).run(), fault.start_time_s
     )
 
 

@@ -80,6 +80,23 @@ class FaultTarget(enum.Enum):
         return {"accel": "Acc", "gyro": "Gyro", "imu": "IMU"}[self.value]
 
 
+#: Display name of each fault behaviour in the paper's tables.
+_FAULT_TYPE_NAMES = {
+    FaultType.FIXED: "Fixed Value",
+    FaultType.ZEROS: "Zeros",
+    FaultType.FREEZE: "Freeze",
+    FaultType.RANDOM: "Random",
+    FaultType.MIN: "Min",
+    FaultType.MAX: "Max",
+    FaultType.NOISE: "Noise",
+}
+
+
+def fault_label(target: FaultTarget, fault_type: FaultType) -> str:
+    """Row label as used in the paper's Table III, e.g. 'Acc Freeze'."""
+    return f"{target.label} {_FAULT_TYPE_NAMES[fault_type]}"
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """A scheduled fault injection.
@@ -141,16 +158,7 @@ class FaultSpec:
     @property
     def label(self) -> str:
         """Row label as used in the paper's Table III, e.g. 'Acc Freeze'."""
-        names = {
-            FaultType.FIXED: "Fixed Value",
-            FaultType.ZEROS: "Zeros",
-            FaultType.FREEZE: "Freeze",
-            FaultType.RANDOM: "Random",
-            FaultType.MIN: "Min",
-            FaultType.MAX: "Max",
-            FaultType.NOISE: "Noise",
-        }
-        return f"{self.target.label} {names[self.fault_type]}"
+        return fault_label(self.target, self.fault_type)
 
     def with_seed(self, seed: int) -> "FaultSpec":
         """Copy of this spec with a different random seed."""

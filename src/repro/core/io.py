@@ -20,6 +20,7 @@ re-analysable without re-running. Two formats live here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -39,53 +40,24 @@ _SUPPORTED_VERSIONS = (1, 2, 3, 4)
 _JOURNAL_SCHEMA_VERSION = 1
 
 
+_RESULT_FIELDS = dataclasses.fields(ExperimentResult)
+
+
 def _result_to_dict(r: ExperimentResult) -> dict[str, Any]:
-    return {
-        "experiment_id": r.experiment_id,
-        "mission_id": r.mission_id,
-        "fault_label": r.fault_label,
-        "fault_type": r.fault_type,
-        "target": r.target,
-        "injection_duration_s": r.injection_duration_s,
-        "outcome": r.outcome.value if r.outcome is not None else None,
-        "flight_duration_s": r.flight_duration_s,
-        "distance_km": r.distance_km,
-        "inner_violations": r.inner_violations,
-        "outer_violations": r.outer_violations,
-        "max_deviation_m": r.max_deviation_m,
-        "error": r.error,
-        "attempts": r.attempts,
-        "fault_scope": r.fault_scope,
-        "mitigated": r.mitigated,
-        "imu_switchovers": r.imu_switchovers,
-        "isolation_succeeded": r.isolation_succeeded,
-        "blackbox_path": r.blackbox_path,
-    }
+    row = {f.name: getattr(r, f.name) for f in _RESULT_FIELDS}
+    row["outcome"] = r.outcome.value if r.outcome is not None else None
+    return row
 
 
 def _result_from_dict(r: dict[str, Any]) -> ExperimentResult:
-    outcome = r["outcome"]
-    return ExperimentResult(
-        experiment_id=r["experiment_id"],
-        mission_id=r["mission_id"],
-        fault_label=r["fault_label"],
-        fault_type=r["fault_type"],
-        target=r["target"],
-        injection_duration_s=r["injection_duration_s"],
-        outcome=MissionOutcome(outcome) if outcome is not None else None,
-        flight_duration_s=r["flight_duration_s"],
-        distance_km=r["distance_km"],
-        inner_violations=r["inner_violations"],
-        outer_violations=r["outer_violations"],
-        max_deviation_m=r["max_deviation_m"],
-        error=r.get("error"),
-        attempts=r.get("attempts", 1),
-        fault_scope=r.get("fault_scope"),
-        mitigated=r.get("mitigated", False),
-        imu_switchovers=r.get("imu_switchovers", 0),
-        isolation_succeeded=r.get("isolation_succeeded"),
-        blackbox_path=r.get("blackbox_path"),
-    )
+    # Fields with a default were added after schema v1 and may be absent.
+    values = {
+        f.name: r[f.name] if f.default is dataclasses.MISSING else r.get(f.name, f.default)
+        for f in _RESULT_FIELDS
+    }
+    if values["outcome"] is not None:
+        values["outcome"] = MissionOutcome(values["outcome"])
+    return ExperimentResult(**values)
 
 
 def save_campaign(campaign: CampaignResult, path: str | Path) -> None:
@@ -103,7 +75,7 @@ def load_campaign(path: str | Path) -> CampaignResult:
     """Read a campaign previously written by :func:`save_campaign`.
 
     Accepts schema v1 (pre-resilience files without harness-error
-    fields) and v2; refuses unknown versions rather than guessing.
+    fields) through v4; refuses unknown versions rather than guessing.
     """
     payload = json.loads(Path(path).read_text())
     version = payload.get("schema_version")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.faults import FaultTarget, FaultType
+from repro.core.faults import FaultTarget, FaultType, fault_label
 from repro.core.metrics import FailureRow, SummaryRow, failure_analysis, summarize
 from repro.core.results import CampaignResult, ExperimentResult
 
@@ -59,7 +59,7 @@ def table3_by_fault(campaign: CampaignResult) -> list[SummaryRow]:
     for target in FaultTarget:
         target_rows = []
         for fault_type in FaultType:
-            label = _fault_label(target, fault_type)
+            label = fault_label(target, fault_type)
             group = campaign.by_fault_label(label)
             if group:
                 target_rows.append(summarize(label, group))
@@ -141,7 +141,7 @@ def resilience_comparison(
         _resilience_row("All faults", baseline.faulty, mitigated.faulty)
     ]
     for target, fault_type in _FAULT_LABEL_ORDER:
-        label = _fault_label(target, fault_type)
+        label = fault_label(target, fault_type)
         base_group = baseline.by_fault_label(label)
         mit_group = mitigated.by_fault_label(label)
         if base_group and mit_group:
@@ -216,16 +216,3 @@ def _duration_label(duration_s: float) -> str:
     if duration_s == int(duration_s):
         return f"{int(duration_s)} seconds"
     return f"{duration_s} seconds"
-
-
-def _fault_label(target: FaultTarget, fault_type: FaultType) -> str:
-    names = {
-        FaultType.FIXED: "Fixed Value",
-        FaultType.ZEROS: "Zeros",
-        FaultType.FREEZE: "Freeze",
-        FaultType.RANDOM: "Random",
-        FaultType.MIN: "Min",
-        FaultType.MAX: "Max",
-        FaultType.NOISE: "Noise",
-    }
-    return f"{target.label} {names[fault_type]}"

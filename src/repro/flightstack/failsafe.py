@@ -83,6 +83,10 @@ class FailsafeEngine:
         self.state = FailsafeState.NOMINAL
         self.trigger = FailsafeTrigger.NONE
         self.engaged_time_s: float | None = None
+        #: When (and on what condition) failure detection first
+        #: debounced, i.e. the first NOMINAL -> ISOLATING transition.
+        self.detection_time_s: float | None = None
+        self.detection_trigger = FailsafeTrigger.NONE
         #: What redundancy did during the latest isolation episode.
         self.isolation_outcome = IsolationOutcome.NOT_ATTEMPTED
         #: ``None`` until an isolation episode resolves; then True when
@@ -150,6 +154,9 @@ class FailsafeEngine:
                     self._condition_clear_since = None
                     self.isolation_outcome = IsolationOutcome.NOT_ATTEMPTED
                     self.isolation_succeeded = None
+                    if self.detection_time_s is None:
+                        self.detection_time_s = time_s
+                        self.detection_trigger = self.trigger
                     self.obs.emit(
                         "failsafe.isolating", time_s, trigger=self.trigger.value
                     )

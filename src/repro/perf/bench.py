@@ -169,9 +169,9 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
     fault_rate = _steps_per_sec(faulted, 100, rounds=3)
 
     # Gold cruise with the full observability plane on (metrics +
-    # trace + black-box ring): the enabled-mode overhead the obs gate
-    # holds to <=3% of the disabled rate. Events are edge-triggered, so
-    # in cruise the recurring cost is one black-box row per step. The
+    # trace + black-box ring): the enabled-mode overhead that CI's obs
+    # gate holds to <=5% of the disabled rate. Events are edge-triggered,
+    # so in cruise the recurring cost is one black-box row per step. The
     # pair is timed in interleaved ABBA quartets (_paired_overhead).
     obs_disabled = build_trace_system()
     obs_enabled = build_trace_system(obs=Observer(registry=MetricsRegistry()))

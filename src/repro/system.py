@@ -96,6 +96,10 @@ class MissionResult:
     failsafe_time_s: float | None
     fault_label: str
     failsafe_trigger: str = "none"
+    #: First debounce of failure detection (isolation start) and the
+    #: condition that tripped it; None / "none" when it never fired.
+    detection_time_s: float | None = None
+    detection_trigger: str = "none"
     isolation_outcome: str = "not_attempted"
     isolation_succeeded: bool | None = None
     imu_switchovers: int = 0
@@ -385,6 +389,8 @@ class UavSystem:
             failsafe_time_s=self.failsafe.engaged_time_s,
             fault_label=self.fault.label if self.fault else "Gold Run",
             failsafe_trigger=self.failsafe.trigger.value,
+            detection_time_s=self.failsafe.detection_time_s,
+            detection_trigger=self.failsafe.detection_trigger.value,
             isolation_outcome=self.failsafe.isolation_outcome.value,
             isolation_succeeded=self.failsafe.isolation_succeeded,
             imu_switchovers=len(self.redundancy.events),

@@ -6,6 +6,8 @@ from repro.core.analysis import (
     by_mission,
     check_paper_shapes,
     duration_fault_grid,
+    redundancy_rescues,
+    render_rescues,
     render_shape_checks,
     severity_ranking,
 )
@@ -18,13 +20,13 @@ from repro.core.paper_reference import (
     paper_table3_row,
 )
 from repro.core.results import CampaignResult, ExperimentResult
-from repro.core.tables import _fault_label
-from repro.core.faults import FaultTarget, FaultType
+from repro.core.tables import table3_by_fault
+from repro.core.faults import FaultSpec, FaultTarget, FaultType, fault_label
 from repro.flightstack.commander import MissionOutcome
 
 
 def _label(target, fault):
-    return _fault_label(target, fault)
+    return fault_label(target, fault)
 
 
 def synthetic_campaign():
@@ -101,6 +103,78 @@ def test_render_shape_checks():
     text = render_shape_checks(check_paper_shapes(synthetic_campaign()))
     assert "qualitative findings reproduced" in text
     assert "[PASS]" in text
+
+
+# ---------------------------------------------------- redundancy rescues
+
+C, X, F = MissionOutcome.COMPLETED, MissionOutcome.CRASHED, MissionOutcome.FAILSAFE
+
+#: (baseline outcomes, mitigated outcomes) per fault group. Gyro Max and
+#: Gyro Min tie on gain (the paper order puts Min first, the label
+#: order Max); Gyro Random and IMU Noise each exist in one campaign only.
+RESCUE_PAIR = {
+    (FaultTarget.GYRO, FaultType.MAX): ([X, F], [C, X]),
+    (FaultTarget.GYRO, FaultType.MIN): ([X, X], [C, F]),
+    (FaultTarget.IMU, FaultType.FREEZE): ([C, X, X, F], [C, C, C, C]),
+    (FaultTarget.GYRO, FaultType.ZEROS): ([C, C], [C, X]),
+    (FaultTarget.ACCEL, FaultType.NOISE): ([C, X], [X, C]),
+    (FaultTarget.GYRO, FaultType.RANDOM): ([], [C, C]),
+    (FaultTarget.IMU, FaultType.NOISE): ([X, X], []),
+}
+
+
+def rescue_arm(mitigated):
+    results = [
+        ExperimentResult(0, 1, "Gold Run", None, None, None, C, 100.0, 1.0, 0, 0, 0.5,
+                         mitigated=mitigated)
+    ]
+    for (target, fault), arms in RESCUE_PAIR.items():
+        for outcome in arms[int(mitigated)]:
+            results.append(
+                ExperimentResult(
+                    len(results), 1, _label(target, fault), fault.value, target.value, 10.0,
+                    outcome, 50.0, 0.5, 3, 1, 20.0, mitigated=mitigated,
+                    imu_switchovers=int(mitigated and outcome is C),
+                )
+            )
+    return CampaignResult(results=results)
+
+
+def test_redundancy_rescues_render_is_pinned():
+    text = render_rescues(redundancy_rescues(rescue_arm(False), rescue_arm(True)))
+    assert text == (
+        "Redundancy rescues: 3 fault group(s) improved\n"
+        "  IMU Freeze: completion 25.0% -> 100.0%, crashes 50.0% -> 0.0% (4 switchover(s))\n"
+        "  Gyro Max: completion 0.0% -> 50.0%, crashes 50.0% -> 50.0% (1 switchover(s))\n"
+        "  Gyro Min: completion 0.0% -> 50.0%, crashes 100.0% -> 0.0% (1 switchover(s))"
+    )
+
+
+def test_redundancy_rescues_none_when_nothing_improved():
+    rescues = redundancy_rescues(rescue_arm(True), rescue_arm(False))
+    assert [r.label for r in rescues] == ["Gyro Zeros"]
+    assert render_rescues(redundancy_rescues(rescue_arm(False), rescue_arm(False))) == (
+        "Redundancy rescues: none — no fault group completed more "
+        "missions with the IMU bank than without"
+    )
+
+
+# ---------------------------------------------------------- fault labels
+
+
+@pytest.mark.parametrize("target", list(FaultTarget))
+@pytest.mark.parametrize("fault", list(FaultType))
+def test_fault_label_is_one_string_everywhere(target, fault):
+    label = FaultSpec(fault, target, start_time_s=0.0, duration_s=1.0).label
+    assert label == fault_label(target, fault)
+    campaign = CampaignResult(
+        results=[
+            ExperimentResult(0, 1, label, fault.value, target.value, 2.0,
+                             MissionOutcome.COMPLETED, 50.0, 0.5, 0, 0, 1.0)
+        ]
+    )
+    assert [row.label for row in table3_by_fault(campaign)] == [label]
+    assert paper_table3_row(label).label == label
 
 
 # ------------------------------------------------------------------ io

@@ -63,6 +63,26 @@ def test_condition_clearing_during_isolation_recovers():
     assert not fs.engaged
 
 
+def test_detection_time_is_the_first_isolation_start():
+    fs = engine()
+    assert fs.detection_time_s is None
+    assert fs.detection_trigger == FailsafeTrigger.NONE
+    run_condition(fs, 0.8, SPINNING)
+    assert fs.state == FailsafeState.ISOLATING
+    first = fs.detection_time_s
+    assert first is not None and 0.5 <= first < 0.8
+    assert fs.detection_trigger == FailsafeTrigger.GYRO_RATE
+    # Recover, then trip a second episode on another condition: the
+    # first detection stands.
+    t = run_condition(fs, 1.5, CALM, start=0.8)
+    assert fs.state == FailsafeState.NOMINAL
+    run_condition(fs, 1.0, CALM, tilt=math.radians(80.0), start=t)
+    assert fs.state == FailsafeState.ISOLATING
+    assert fs.trigger == FailsafeTrigger.ATTITUDE
+    assert fs.detection_time_s == first
+    assert fs.detection_trigger == FailsafeTrigger.GYRO_RATE
+
+
 def test_attitude_trigger():
     fs = engine()
     run_condition(fs, 3.5, CALM, tilt=math.radians(80.0))
