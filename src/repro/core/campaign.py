@@ -23,8 +23,9 @@ runs and injection at 90 s.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -136,38 +137,94 @@ class CampaignConfig:
         return max(20.0, PAPER_INJECTION_TIME_S * self.scale)
 
 
-def run_experiment(spec: ExperimentSpec, config: CampaignConfig) -> ExperimentResult:
-    """Execute a single experiment case and reduce it to its metrics."""
-    plans = {p.mission_id: p for p in valencia_missions(scale=config.scale)}
-    plan = plans[spec.mission_id]
-    obs: Observer | None = None
-    if config.obs_dir is not None:
-        # A private registry per case: cases may run in worker
-        # processes, so per-case metrics cannot meaningfully aggregate
-        # into the parent's registry anyway.
-        obs = Observer(
-            registry=MetricsRegistry(),
-            blackbox_dir=config.obs_dir,
-            blackbox_name=f"blackbox_exp{spec.experiment_id:04d}.json",
-        )
-    system = UavSystem(
-        plan,
-        config=SystemConfig(
-            seed=config.base_seed,
-            redundancy=RedundancyConfig(
-                enabled=config.mitigation, num_members=config.imu_redundancy
-            ),
+def vehicle_config(config: CampaignConfig) -> SystemConfig:
+    """The vehicle every case of ``config`` flies (faults aside)."""
+    return SystemConfig(
+        seed=config.base_seed,
+        redundancy=RedundancyConfig(
+            enabled=config.mitigation, num_members=config.imu_redundancy
         ),
-        fault=spec.fault,
-        obs=obs,
     )
-    mission_result = system.run()
-    return _to_result(spec, mission_result, mitigated=config.mitigation)
 
 
-def _to_result(
+#: Trunks kept per process. The matrix cycles through the missions
+#: case by case, so a campaign needs one trunk per mission at once (ten
+#: for the Valencia scenario). A trunk holds a few hundred KB.
+TRUNK_CACHE_SIZE = 16
+
+_trunks: OrderedDict[tuple, UavSystem] = OrderedDict()
+# Serial runs with a timeout fly each case on a watchdog thread, and an
+# abandoned case may still be building a trunk when the next one starts.
+_trunks_lock = threading.Lock()
+
+
+def trunk(config: CampaignConfig, mission_id: int, onset_s: float) -> UavSystem:
+    """The fault-free flight of ``mission_id``, stopped just before ``onset_s``.
+
+    Every case of a campaign cell flies this prefix bit for bit: the
+    vehicle is seeded from ``base_seed`` alone and an injector draws
+    nothing before its window opens. So a campaign flies it once per
+    process and caches it; cases fork from it (:meth:`UavSystem.fork`).
+    The key holds everything that shapes the prefix.
+    """
+    key = (
+        config.scale,
+        mission_id,
+        config.base_seed,
+        config.mitigation,
+        config.imu_redundancy,
+        onset_s,
+        config.obs_dir,
+    )
+    with _trunks_lock:
+        cached = _trunks.get(key)
+        if cached is not None:
+            _trunks.move_to_end(key)
+            return cached
+    plan = {p.mission_id: p for p in valencia_missions(scale=config.scale)}[mission_id]
+    obs = None
+    if config.obs_dir is not None:
+        # Every fork copies this private registry: cases may run in
+        # worker processes, so per-case metrics cannot meaningfully
+        # aggregate into the parent's registry anyway.
+        obs = Observer(registry=MetricsRegistry(), blackbox_dir=config.obs_dir)
+    system = UavSystem(plan, config=vehicle_config(config), obs=obs)
+    system.start()
+    # Split rule: the injector reads the window at a step's pre-step
+    # time t and the observer at its post-step time t + dt. Stopping a
+    # tick and a half short of the onset keeps both strictly outside it.
+    dt = system.config.physics_dt_s
+    system.advance(min(onset_s - 1.5 * dt, system.time_cap_s()))
+    with _trunks_lock:
+        _trunks[key] = system
+        while len(_trunks) > TRUNK_CACHE_SIZE:
+            _trunks.popitem(last=False)
+    return system
+
+
+def run_experiment(spec: ExperimentSpec, config: CampaignConfig) -> ExperimentResult:
+    """Execute a single experiment case and reduce it to its metrics.
+
+    The case forks from its cell's trunk and flies on from just before
+    the injection; the result is bit-identical to flying it fresh
+    (``UavSystem(plan, vehicle_config(config), spec.fault).run()``).
+    The gold case forks at the campaign's injection time with no fault.
+    """
+    onset = (
+        spec.fault.start_time_s
+        if spec.fault is not None
+        else config.effective_injection_time_s
+    )
+    system = trunk(config, spec.mission_id, onset).fork(
+        spec.fault, blackbox_name=f"blackbox_exp{spec.experiment_id:04d}.json"
+    )
+    return case_result(spec, system.run(), mitigated=config.mitigation)
+
+
+def case_result(
     spec: ExperimentSpec, mission: MissionResult, mitigated: bool = False
 ) -> ExperimentResult:
+    """Reduce one flown case to its campaign row."""
     return ExperimentResult(
         experiment_id=spec.experiment_id,
         mission_id=spec.mission_id,
@@ -324,6 +381,10 @@ def run_campaign(
         )
     policy = retry_policy or NO_RETRY
     runner = runner or run_experiment
+    # Trunks live for one campaign: it flies every trunk it forks from,
+    # and worker processes start from the emptied cache.
+    with _trunks_lock:
+        _trunks.clear()
 
     journal: CampaignJournal | None = None
     done: dict[int, ExperimentResult] = {}

@@ -202,6 +202,19 @@ class Ekf:
         self._measured = np.zeros(3)
         self._err = np.zeros(3)
 
+    # Snapshot contract (deepcopy and pickle): a copy of ``_diag`` would
+    # be a detached array, so process noise added through it would stop
+    # reaching the covariance. Drop the view and re-derive it from the
+    # copied covariance instead.
+    def __getstate__(self) -> dict[str, object]:
+        state = self.__dict__.copy()
+        del state["_diag"]
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._diag = self.covariance.ravel()[::16]
+
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------

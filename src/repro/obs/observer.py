@@ -77,6 +77,7 @@ class Observer:
         self._fault_active = False
         self._inner = 0
         self._outer = 0
+        self._run_span_id = 0
 
     # -- wiring --------------------------------------------------------
 
@@ -103,12 +104,25 @@ class Observer:
     # -- vehicle hooks (called by UavSystem) ---------------------------
 
     def on_run_start(self, system: "UavSystem") -> None:
-        self.trace.begin_span(
+        self._run_span_id = self.trace.begin_span(
             "run",
             system.physics.time_s,
             mission_id=system.plan.mission_id,
             fault=system.fault.label if system.fault else "Gold Run",
         )
+
+    def on_fork(self, system: "UavSystem", blackbox_name: str | None) -> None:
+        """Re-target a copied trunk observer at the case forked from it.
+
+        The trunk flew as the gold run, so its ``run`` span names no
+        fault; everything else it recorded before the fork point is
+        what the case itself would have recorded.
+        """
+        label = system.fault.label if system.fault else "Gold Run"
+        for event in self.trace.events:
+            if event.kind == "B" and event.span_id == self._run_span_id:
+                event.attrs["fault"] = label
+        self.blackbox_name = blackbox_name
 
     def on_step(self, system: "UavSystem") -> None:
         """Per-tick hook: black-box row plus edge-triggered events.
@@ -208,6 +222,9 @@ class _NullObserver(Observer):
         pass
 
     def on_run_start(self, system: "UavSystem") -> None:
+        pass
+
+    def on_fork(self, system: "UavSystem", blackbox_name: str | None) -> None:
         pass
 
     def on_step(self, system: "UavSystem") -> None:

@@ -5,6 +5,7 @@ Examples::
     python -m repro.perf                      # full bench, writes BENCH_simulator.json
     python -m repro.perf --quick              # CI smoke variant (~15 s)
     python -m repro.perf --quick --check-against BENCH_simulator.json
+    python -m repro.perf --campaign           # fresh vs forked, writes BENCH_campaign.json
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.perf.bench import (
     run_bench,
     write_report,
 )
+from repro.perf.campaign_bench import format_campaign_report, run_campaign_bench
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -32,9 +34,15 @@ def main(argv: list[str] | None = None) -> int:
         help="shorter warmup/timed sections (CI smoke; noisier numbers)",
     )
     parser.add_argument(
+        "--campaign",
+        action="store_true",
+        help="time fresh vs forked campaign cases on one mission slice "
+        "instead of the stepping loop; exits 1 if their rows differ",
+    )
+    parser.add_argument(
         "--output",
-        default="BENCH_simulator.json",
-        help="bench JSON path (default: %(default)s)",
+        help="bench JSON path (default: BENCH_simulator.json, or "
+        "BENCH_campaign.json with --campaign)",
     )
     parser.add_argument(
         "--no-write",
@@ -66,13 +74,23 @@ def main(argv: list[str] | None = None) -> int:
         help="allowed fractional obs-enabled overhead (default: %(default)s)",
     )
     args = parser.parse_args(argv)
+    if args.campaign and (args.check_against or args.check_obs_overhead):
+        parser.error("--campaign has no throughput gates")
 
-    report = run_bench(quick=args.quick)
-    print(format_report(report))
+    if args.campaign:
+        report = run_campaign_bench(quick=args.quick)
+        print(format_campaign_report(report))
+        output = args.output or "BENCH_campaign.json"
+    else:
+        report = run_bench(quick=args.quick)
+        print(format_report(report))
+        output = args.output or "BENCH_simulator.json"
 
     if not args.no_write:
-        write_report(report, args.output)
-        print(f"wrote {args.output}")
+        write_report(report, output)
+        print(f"wrote {output}")
+    if args.campaign:
+        return 0 if report["rows_equal"] else 1
 
     failed = False
     if args.check_against:

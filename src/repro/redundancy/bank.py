@@ -66,6 +66,15 @@ class ImuBank:
             Imu(params, seed=base_seed + k * MEMBER_SEED_STRIDE)
             for k in range(num_members)
         ]
+        self.set_fault(fault)
+
+    def set_fault(self, fault: FaultSpec | None) -> None:
+        """Put a fresh injector for ``fault`` in front of every member.
+
+        The members (and their noise generators) are untouched, so a
+        vehicle forked before the fault's onset keeps the trunk's sensor
+        streams and only swaps what will corrupt them.
+        """
         self.injectors: list[SensorFaultInjector] = [
             SensorFaultInjector(
                 fault, imu.accel_range, imu.gyro_range, member_index=k

@@ -100,6 +100,19 @@ class QuadrotorAirframe:
         self._force = np.zeros(3)
         self._torque = np.zeros(3)
 
+    # Snapshot contract (deepcopy and pickle): copied column views come
+    # back contiguous, and ``np.dot`` rounds differently on a contiguous
+    # operand. Drop them and re-slice the copied ``_positions``.
+    def __getstate__(self) -> dict[str, object]:
+        state = self.__dict__.copy()
+        del state["_lever_x"], state["_lever_y"]
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._lever_x = self._positions[:, 0]
+        self._lever_y = self._positions[:, 1]
+
     def forces_and_torques(
         self,
         thrusts_n: np.ndarray,

@@ -16,6 +16,7 @@ baro/mag at 20 Hz, and tracking at 1 Hz.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -202,6 +203,8 @@ class UavSystem:
         # Idle motor command, shared read-only (MotorBank clips into its
         # own buffer).
         self._idle_motors = np.zeros(4)
+        #: Set by :meth:`start`; a fork of a started trunk inherits it.
+        self.started = False
 
     @staticmethod
     def _initial_yaw(plan: MissionPlan) -> float:
@@ -355,17 +358,70 @@ class UavSystem:
 
     # ------------------------------------------------------------------
 
-    def run(self, max_time_s: float | None = None) -> MissionResult:
-        """Fly the mission to a terminal verdict and compute the metrics."""
+    def start(self) -> None:
+        """Open the run: begin its trace span, arm and take off."""
         self.obs.on_run_start(self)
         self.commander.arm_and_takeoff(self.physics.time_s)
+        self.started = True
+
+    def time_cap_s(self) -> float:
+        """Simulated time at which an unfinished flight is a timeout."""
         params = self.config.flight_params
-        hard_cap = max_time_s or max(
+        return max(
             params.mission_timeout_min_s + 60.0,
             self.plan.estimated_duration_s() * (params.mission_timeout_factor + 0.5),
         )
-        while not self.commander.terminal and self.physics.time_s < hard_cap:
+
+    def advance(self, until_s: float) -> None:
+        """Step until the mission is terminal or the clock reaches ``until_s``.
+
+        The one stepping loop: a fresh run and a forked case both finish
+        their flight here.
+        """
+        while not self.commander.terminal and self.physics.time_s < until_s:
             self.step()
+
+    def run(self, max_time_s: float | None = None) -> MissionResult:
+        """Fly the mission to a terminal verdict and compute the metrics.
+
+        A vehicle forked from a trunk (:meth:`fork`) is already started,
+        so its run resumes the flight where the trunk stopped.
+        """
+        if not self.started:
+            self.start()
+        self.advance(max_time_s or self.time_cap_s())
+        return self.finish()
+
+    def fork(self, fault: FaultSpec | None, blackbox_name: str | None = None) -> UavSystem:
+        """A copy of this vehicle that will fly on with ``fault`` injected.
+
+        Meant for a fault-free trunk stopped before the fault's onset:
+        every component ahead of the injector is copied as it stands
+        (RNG positions included), and only the injectors, ``fault`` and
+        the observer's per-case labels are replaced. The trunk itself is
+        left untouched, so one trunk serves any number of forks.
+        """
+        # The injector has seen every pre-step time and the observer
+        # every post-step time, the latest of which is the clock now; a
+        # vehicle that has not stepped (clock still 0) has seen nothing.
+        now = self.physics.time_s
+        for spec in (self.fault, fault):
+            if spec is not None and now > 0.0 and now >= spec.start_time_s:
+                raise ValueError(
+                    f"cannot fork at t={now} s: a fault window starting at "
+                    f"{spec.start_time_s} s may already have been seen"
+                )
+        if self.broker is not None:
+            raise ValueError("cannot fork a vehicle attached to a telemetry broker")
+        child = copy.deepcopy(self)
+        child.fault = fault
+        child.imu_bank.set_fault(fault)
+        child.injector = child.imu_bank.injectors[0]
+        child.obs.on_fork(child, blackbox_name)
+        return child
+
+    def finish(self) -> MissionResult:
+        """Close the run and reduce it to the paper's metrics."""
         if not self.commander.terminal:
             self.commander.outcome = MissionOutcome.TIMEOUT
             self.commander.end_time_s = self.physics.time_s
